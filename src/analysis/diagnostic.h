@@ -82,6 +82,11 @@ struct AnalysisResult {
   /// When the tool ran repair synthesis (analyze --repair, dislock fix):
   /// the verified-repair report, rendered by every emitter.
   std::optional<RepairReport> repair;
+  /// The reachable-state deadlock search the `deadlock` pass ran
+  /// (AnalysisContext::Deadlock), so a front end can report that one
+  /// search instead of repeating it; unset when the pipeline left the pass
+  /// out.
+  std::optional<Result<DeadlockReport>> deadlock;
 
   int Count(DiagSeverity severity) const;
   bool HasErrors() const { return Count(DiagSeverity::kError) > 0; }

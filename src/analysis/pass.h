@@ -52,6 +52,10 @@ class AnalysisContext {
   /// max_deadlock_states (ResourceExhausted beyond). Traced under
   /// "deadlock.search".
   const Result<DeadlockReport>& Deadlock();
+  /// The memoized deadlock search, unset unless some pass called Deadlock().
+  const std::optional<Result<DeadlockReport>>& DeadlockIfRun() const {
+    return deadlock_cache_;
+  }
 
   /// Sum of the DecisionPipeline statistics over every memoized analysis
   /// (each distinct pair report, plus the multi report's aggregate).

@@ -15,7 +15,6 @@ namespace {
 SessionOptions MakeSessionOptions(const ReplayOptions& options) {
   SessionOptions session;
   session.json = true;
-  session.shards = options.shards;
   session.config = options.config;
   session.config.num_threads = options.threads;
   return session;
@@ -87,27 +86,20 @@ std::string CheckLines(const std::string& output) {
 }
 
 VerifyResult VerifyReplay(const Trace& trace,
-                          const std::vector<int>& shards_grid,
                           const std::vector<int>& threads_grid) {
-  ReplayOptions reference_options;
-  ReplayResult reference = ReplayDirect(trace, reference_options);
+  ReplayResult reference = ReplayDirect(trace, ReplayOptions{});
   std::string want = CheckLines(reference.output);
   VerifyResult result;
-  for (int shards : shards_grid) {
-    for (int threads : threads_grid) {
-      ReplayOptions options;
-      options.shards = shards;
-      options.threads = threads;
-      ReplayResult got = ReplayService(trace, options);
-      VerifyCell cell;
-      cell.shards = shards;
-      cell.threads = threads;
-      cell.identical = CheckLines(got.output) == want;
-      cell.errors = got.errors;
-      result.ok =
-          result.ok && cell.identical && cell.errors == reference.errors;
-      result.cells.push_back(cell);
-    }
+  for (int threads : threads_grid) {
+    ReplayOptions options;
+    options.threads = threads;
+    ReplayResult got = ReplayService(trace, options);
+    VerifyCell cell;
+    cell.threads = threads;
+    cell.identical = CheckLines(got.output) == want;
+    cell.errors = got.errors;
+    result.ok = result.ok && cell.identical && cell.errors == reference.errors;
+    result.cells.push_back(cell);
   }
   return result;
 }

@@ -125,7 +125,6 @@ class SafetyService::Impl {
     }
     sink->AddCounter(wire::kMetricServeCommands, core_.commands());
     sink->AddCounter(wire::kMetricServeErrors, core_.errors());
-    core_.ExportBackendStats(sink);
   }
 
  private:

@@ -18,6 +18,7 @@
 #include "core/protocols.h"
 #include "txn/builder.h"
 #include "txn/schedule.h"
+#include "util/string_util.h"
 
 namespace dislock {
 namespace {
@@ -151,6 +152,54 @@ TEST(DeadlockPass, BudgetExhaustionEmitsDL206AndKeepsDL202) {
   EXPECT_EQ(WithRule(result, "DL202").size(), 1u);
   EXPECT_TRUE(WithRule(result, "DL201").empty());
   EXPECT_TRUE(WithRule(result, "DL205").empty());
+}
+
+// The opposed pair plus four independent padding transactions: their
+// interleavings multiply the reachable states past the default 2^14
+// budget, and a dead state needs every padding transaction finished, so
+// the search must cover most of the space before it finds the deadlock.
+TransactionSystem MakePaddedOpposedPair(DistributedDatabase* db) {
+  TransactionSystem system = MakeOpposedPair(db);
+  for (int t = 0; t < 4; ++t) {
+    TransactionBuilder b(db, StrCat("P", t));
+    for (int e = 0; e < 3; ++e) {
+      std::string entity = StrCat("p", t, "_", e);
+      db->MustAddEntity(entity, 0);
+      b.Lock(entity);
+      b.Unlock(entity);
+    }
+    system.Add(b.Build());
+  }
+  return system;
+}
+
+// AnalysisResult::deadlock is the very search the pass reported on, so a
+// front end printing it can never contradict the diagnostics.
+TEST(DeadlockPass, ResultCarriesTheSearchTheDiagnosticReports) {
+  DistributedDatabase db(1);
+  db.MustAddEntity("x", 0);
+  db.MustAddEntity("y", 0);
+  TransactionSystem system = MakePaddedOpposedPair(&db);
+
+  AnalysisOptions options;  // library default budget: 2^14 states
+  AnalysisResult small = AnalyzeSystem(system, options);
+  ASSERT_EQ(WithRule(small, "DL206").size(), 1u);
+  ASSERT_TRUE(small.deadlock.has_value());
+  EXPECT_FALSE(small.deadlock->ok());
+
+  options.max_deadlock_states = 1 << 20;
+  AnalysisResult large = AnalyzeSystem(system, options);
+  EXPECT_TRUE(WithRule(large, "DL206").empty());
+  ASSERT_EQ(WithRule(large, "DL201").size(), 1u);
+  ASSERT_TRUE(large.deadlock.has_value());
+  ASSERT_TRUE(large.deadlock->ok());
+  EXPECT_FALSE((*large.deadlock)->deadlock_free);
+  EXPECT_GT((*large.deadlock)->states_explored, int64_t{1} << 14);
+
+  // Without the deadlock pass nothing searched, and the field says so.
+  PassManager manager;
+  ASSERT_TRUE(manager.Add("two-phase").ok());
+  EXPECT_FALSE(manager.Run(system, options).deadlock.has_value());
 }
 
 TEST(ProtocolsPass, FlagsTreeProtocolViolationAgainstInferredForest) {

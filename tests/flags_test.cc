@@ -152,7 +152,6 @@ TEST(Flags, DefaultsMatchTheDocumentedContract) {
   EXPECT_FALSE(flags.metrics);
   EXPECT_EQ(flags.port, 4400);
   EXPECT_EQ(flags.clients, 100);
-  EXPECT_EQ(flags.shards, 1);
   EXPECT_EQ(flags.seed, 42u);  // the generator contract: default seed 42
   EXPECT_TRUE(flags.out.empty());
   EXPECT_TRUE(flags.endpoint.empty());
@@ -210,14 +209,10 @@ TEST(Flags, ServeFlagsBothSpellings) {
   ParseOutcome clients = Parse({"--clients=250"}, kServeFlags);
   EXPECT_EQ(clients.result, FlagParse::kConsumedOne);
   EXPECT_EQ(clients.flags.clients, 250);
-
-  ParseOutcome shards = Parse({"--shards", "4"}, kServeFlags);
-  EXPECT_EQ(shards.result, FlagParse::kConsumedTwo);
-  EXPECT_EQ(shards.flags.shards, 4);
 }
 
 TEST(Flags, ServeFlagsMissingValuesAreErrors) {
-  for (const char* flag : {"--port", "--clients", "--shards"}) {
+  for (const char* flag : {"--port", "--clients"}) {
     ParseOutcome out = Parse({flag}, kServeFlags);
     EXPECT_EQ(out.result, FlagParse::kError) << flag;
     EXPECT_EQ(out.error, std::string(flag) + " requires a value") << flag;
@@ -231,13 +226,27 @@ TEST(Flags, ServeFlagsRespectTheAcceptedSet) {
             FlagParse::kNotCommon);
   EXPECT_EQ(Parse({"--clients=8"}, kThreadsFlag).result,
             FlagParse::kNotCommon);
-  EXPECT_EQ(Parse({"--shards=2"}, kThreadsFlag).result,
-            FlagParse::kNotCommon);
   std::string help = CommonFlagsHelp(kServeFlags);
-  for (const char* flag : {"--port", "--clients", "--shards"}) {
+  for (const char* flag : {"--port", "--clients"}) {
     EXPECT_NE(help.find(flag), std::string::npos) << flag;
   }
   EXPECT_EQ(CommonFlagsHelp(kThreadsFlag).find("--port"), std::string::npos);
+}
+
+// The catalog is never sharded, so --shards is no common flag under any
+// accepted set: every tool that once took it (dislock session/replay,
+// dislock_serve, dislock_bench) now rejects it as an unknown argument and
+// exits 2, and no help text mentions it.
+TEST(Flags, ShardsIsUnknownToEveryTool) {
+  constexpr unsigned kEveryFlag = ~0u;
+  for (std::vector<std::string> args :
+       {std::vector<std::string>{"--shards", "4"},
+        std::vector<std::string>{"--shards=4"},
+        std::vector<std::string>{"--shards"}}) {
+    EXPECT_EQ(Parse(args, kEveryFlag).result, FlagParse::kNotCommon)
+        << args[0];
+  }
+  EXPECT_EQ(CommonFlagsHelp(kEveryFlag).find("--shards"), std::string::npos);
 }
 
 constexpr unsigned kGenFlags = kSeedFlag | kOutFlag | kEndpointFlag;

@@ -1,8 +1,8 @@
 // SafetyService: concurrent clients multiplexed onto one SessionCore. Pins
 // the determinism contract (a trace submitted in a fixed global order
-// yields byte-identical responses; `check` reports additionally identical
-// across shard counts), per-client response ordering under concurrent
-// submission, quit/shutdown semantics, and the counters surface.
+// yields byte-identical responses at any engine thread count), per-client
+// response ordering under concurrent submission, quit/shutdown semantics,
+// and the counters surface.
 
 #include <gtest/gtest.h>
 
@@ -20,18 +20,15 @@ namespace dislock {
 namespace serve {
 namespace {
 
-ServiceOptions Options(int shards, int threads = 1) {
+ServiceOptions Options(int threads = 1) {
   ServiceOptions options;
-  options.session.shards = shards;
   options.session.config.num_threads = threads;
   options.session.load_root = DISLOCK_SOURCE_DIR;
   return options;
 }
 
 /// The per-client scripts of the determinism tests: every client adds its
-/// own transaction over the shared ring, checks, and removes it. Commands
-/// address names, never ids, so the responses are shard-count comparable
-/// except for the documented `add` id field.
+/// own transaction over the shared ring, checks, and removes it.
 std::vector<std::vector<std::string>> MakeScripts(int clients) {
   std::vector<std::vector<std::string>> scripts(
       static_cast<size_t>(clients));
@@ -98,29 +95,24 @@ std::string CheckLinesOnly(const std::vector<std::string>& outputs) {
 
 TEST(SafetyService, FixedOrderTraceIsDeterministic) {
   auto scripts = MakeScripts(6);
-  auto run = [&](int shards, int threads) {
-    SafetyService service(Options(shards, threads));
+  auto run = [&](int threads) {
+    SafetyService service(Options(threads));
     int64_t loader = service.OpenClient([](const std::string&) {});
     service.Submit(loader, "load data/ring3.dlk");
     service.CloseClient(loader);
     service.Drain();
     return RunRoundRobin(&service, scripts);
   };
-  std::vector<std::string> base = run(1, 1);
-  // Same shard count: full responses are byte-identical, repeatedly, and
-  // at any engine thread count.
-  EXPECT_EQ(run(1, 1), base);
-  EXPECT_EQ(run(1, 4), base);
-  // Across shard counts: check reports are byte-identical ({1,4} shards x
-  // {1,4} threads); full responses differ only in lane-allocated add ids.
-  std::string base_checks = CheckLinesOnly(base);
-  EXPECT_FALSE(base_checks.empty());
-  EXPECT_EQ(CheckLinesOnly(run(4, 1)), base_checks);
-  EXPECT_EQ(CheckLinesOnly(run(4, 4)), base_checks);
+  std::vector<std::string> base = run(1);
+  EXPECT_FALSE(CheckLinesOnly(base).empty());
+  // Full responses are byte-identical, repeatedly, and at any engine
+  // thread count.
+  EXPECT_EQ(run(1), base);
+  EXPECT_EQ(run(4), base);
 }
 
 TEST(SafetyService, ConcurrentClientsAllSucceed) {
-  SafetyService service(Options(/*shards=*/2));
+  SafetyService service(Options());
   int64_t loader = service.OpenClient([](const std::string&) {});
   service.Submit(loader, "load data/ring3.dlk");
   service.CloseClient(loader);
@@ -170,7 +162,7 @@ TEST(SafetyService, ConcurrentClientsAllSucceed) {
 }
 
 TEST(SafetyService, QuitClosesOnlyTheIssuingClient) {
-  SafetyService service(Options(1));
+  SafetyService service(Options());
   std::string a_bytes, b_bytes;
   std::atomic<bool> a_closed{false};
   int64_t a = service.OpenClient(
@@ -194,7 +186,7 @@ TEST(SafetyService, QuitClosesOnlyTheIssuingClient) {
 }
 
 TEST(SafetyService, ShutdownVerbAnswersThenFlipsTheFlag) {
-  SafetyService service(Options(1));
+  SafetyService service(Options());
   std::string bytes;
   int64_t client = service.OpenClient(
       [&bytes](const std::string& r) { bytes += r; });
@@ -208,7 +200,7 @@ TEST(SafetyService, ShutdownVerbAnswersThenFlipsTheFlag) {
 }
 
 TEST(SafetyService, CloseMidBlockFlushesTheUnterminatedError) {
-  SafetyService service(Options(1));
+  SafetyService service(Options());
   std::string bytes;
   int64_t client = service.OpenClient(
       [&bytes](const std::string& r) { bytes += r; });
@@ -224,7 +216,7 @@ TEST(SafetyService, CloseMidBlockFlushesTheUnterminatedError) {
 }
 
 TEST(SafetyService, ExportStatsPoursServeCounters) {
-  SafetyService service(Options(/*shards=*/2));
+  SafetyService service(Options());
   int64_t client = service.OpenClient([](const std::string&) {});
   service.Submit(client, "load data/ring3.dlk");
   service.Submit(client, "check");
@@ -235,8 +227,6 @@ TEST(SafetyService, ExportStatsPoursServeCounters) {
   EXPECT_EQ(sink.CounterValue("serve.commands"), 2);
   EXPECT_EQ(sink.CounterValue("serve.errors"), 0);
   EXPECT_EQ(sink.CounterValue("serve.clients"), 1);
-  // Sharded backend: the per-shard breakdown travels too.
-  EXPECT_EQ(sink.GaugeValue("sharded.shards"), 2.0);
 }
 
 }  // namespace

@@ -39,7 +39,7 @@ TEST(ThreadPool, SingleThreadExecutesEverything) {
   EXPECT_EQ(sum.load(), 50 * 51 / 2);
 }
 
-TEST(ThreadPool, ZeroMeansHardwareThreads) {
+TEST(ThreadPool, ZeroMeansOneWorkerPerHardwareThread) {
   ThreadPool pool(0);
   EXPECT_EQ(pool.num_threads(), ThreadPool::HardwareThreads());
   EXPECT_GE(ThreadPool::HardwareThreads(), 1);

@@ -1,8 +1,8 @@
 // Replay byte-identity tests (src/gen/replay.h): every registered family's
 // trace must produce byte-identical check reports through the direct
-// SessionCore replay and the serve-style sequencer at every point of the
-// {1,4} shards x {1,4} threads grid — the same gate `dislock replay
-// --verify` and `dislock_bench --bench=trace` run. Also covers the
+// SessionCore replay and the serve-style sequencer at 1 and 4 engine
+// threads — the same gate `dislock replay --verify` and `dislock_bench
+// --bench=trace` run. Also covers the
 // `system` session verb the traces rely on (JSON envelope only).
 
 #include <gtest/gtest.h>
@@ -26,14 +26,12 @@ TEST(TraceReplay, EveryFamilyIsGridIdenticalAtDefaults) {
     ASSERT_TRUE(trace.ok()) << family;
     VerifyResult verify = VerifyReplay(*trace);
     EXPECT_TRUE(verify.ok) << family;
-    ASSERT_EQ(verify.cells.size(), 4u) << family;
+    ASSERT_EQ(verify.cells.size(), 2u) << family;
     for (const VerifyCell& cell : verify.cells) {
       EXPECT_TRUE(cell.identical)
-          << family << " diverged at shards=" << cell.shards
-          << " threads=" << cell.threads;
+          << family << " diverged at threads=" << cell.threads;
       EXPECT_EQ(cell.errors, 0)
-          << family << " failed commands at shards=" << cell.shards
-          << " threads=" << cell.threads;
+          << family << " failed commands at threads=" << cell.threads;
     }
   }
 }
@@ -58,22 +56,22 @@ TEST(TraceReplay, DirectReplayExecutesEveryRecordCleanly) {
   EXPECT_EQ(count, direct.checks);
 }
 
-TEST(TraceReplay, ServiceMatchesDirectAtOneShard) {
-  auto trace = GenerateTrace("ring");
+TEST(TraceReplay, ServiceMatchesDirect) {
+  auto trace = GenerateTrace("churn");
   ASSERT_TRUE(trace.ok());
   ReplayResult direct = ReplayDirect(*trace, ReplayOptions());
   ReplayResult service = ReplayService(*trace, ReplayOptions());
-  // At one shard even the full outputs agree (no lane-allocated ids in
-  // play for a system+check trace); the check projection certainly must.
-  EXPECT_EQ(CheckLines(service.output), CheckLines(direct.output));
+  // One catalog behind both transports: every response byte agrees,
+  // including the ids `add` assigns, not only the check projection.
+  EXPECT_EQ(service.output, direct.output);
   EXPECT_EQ(service.errors, direct.errors);
   EXPECT_EQ(service.checks, direct.checks);
 }
 
 // The property test: randomized edit-mix traces (seeded, so reproducible
-// on failure) replay grid-identically at 1 and 4 threads, 1 and 4 shards.
-// The churn family exercises add/remove/replace against the sharded
-// catalog; two_site and hotkey randomize the lock footprints.
+// on failure) replay grid-identically at 1 and 4 engine threads. The churn
+// family exercises add/remove/replace against the incremental engine;
+// two_site and hotkey randomize the lock footprints.
 TEST(TraceReplay, RandomizedTracesAreGridIdentical) {
   struct Case {
     const char* family;
@@ -88,12 +86,12 @@ TEST(TraceReplay, RandomizedTracesAreGridIdentical) {
     for (uint64_t seed : {1u, 2u, 3u}) {
       auto trace = GenerateTrace(c.family, c.params, seed);
       ASSERT_TRUE(trace.ok()) << c.family << " seed " << seed;
-      VerifyResult verify = VerifyReplay(*trace, {1, 4}, {1, 4});
+      VerifyResult verify = VerifyReplay(*trace, {1, 4});
       EXPECT_TRUE(verify.ok) << c.family << " seed " << seed;
       for (const VerifyCell& cell : verify.cells) {
-        EXPECT_TRUE(cell.identical)
-            << c.family << " seed " << seed << " diverged at shards="
-            << cell.shards << " threads=" << cell.threads;
+        EXPECT_TRUE(cell.identical) << c.family << " seed " << seed
+                                    << " diverged at threads="
+                                    << cell.threads;
       }
     }
   }

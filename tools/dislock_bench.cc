@@ -15,7 +15,7 @@
 // bench row and a committed trace always describe the same system.
 // --bench=trace generates every registered family at its defaults, times
 // the direct replay, and runs the byte-identity gate (check reports from
-// the serve sequencer at {1,4} shards x {1,4} threads vs the direct
+// the serve sequencer at 1 and 4 engine threads vs the direct
 // replay), writing BENCH_trace.json.
 //
 // --threads defaults to 0 (one worker per hardware thread). Speedups are a
@@ -462,16 +462,16 @@ KernelBenchResult RunKernelBench(bool quick, int reps) {
 }
 
 // ---------------------------------------------------------------------------
-// --bench=serve: SafetyService throughput + sharded determinism
+// --bench=serve: SafetyService throughput + check-report determinism
 // (BENCH_serve.json). Drives the in-process service — the exact object
 // dislock_serve wraps in a TCP accept loop — with simulated clients, so the
-// numbers measure the sequencer + sharded engine, not socket syscalls.
+// numbers measure the sequencer + incremental engine, not socket syscalls.
 // ---------------------------------------------------------------------------
 
 /// One client's scripted session: a rolling add/remove window over a shared
 /// entity ring, with a `check` every kServeCheckEvery commands. The windows
 /// of different clients overlap on entities, so the catalog always carries
-/// cross-client (and, sharded, cross-shard) conflict pairs.
+/// cross-client conflict pairs.
 constexpr int kServeEntities = 64;
 constexpr int kServeWindow = 2;       // live txns per client between removes
 constexpr int kServeCheckEvery = 32;  // commands between `check`s per client
@@ -515,20 +515,26 @@ struct ServeRun {
   int errors = 0;
   int64_t queue_peak = 0;
   double elapsed_ms = 0;
-  std::string check_bytes;  // `check` response lines only (shard-invariant)
+  std::string check_bytes;  // `check` response lines only
 };
 
 /// Runs the scripts against a fresh service. `concurrent` submits each
 /// client from its own thread (the throughput measurement); otherwise lines
 /// are fed round-robin from one thread — a fixed global arrival order, so
-/// the responses are deterministic and comparable across shard counts.
+/// the responses are deterministic and comparable across thread counts.
+/// `bundle`, when given, receives the run's trace spans and, after the
+/// drain, the service's counters.
 ServeRun RunServeOnce(const std::vector<std::vector<std::string>>& scripts,
-                      const std::string& workload_path, int shards,
-                      int threads, bool concurrent) {
+                      const std::string& workload_path, int threads,
+                      bool concurrent,
+                      const obs::Observability* bundle = nullptr) {
   serve::ServiceOptions options;
   options.session.json = true;
-  options.session.shards = shards;
   options.session.config.num_threads = threads;
+  if (bundle != nullptr) {
+    options.session.config.trace = bundle->trace();
+    options.session.config.stats = bundle->metrics();
+  }
   serve::SafetyService service(options);
 
   // Load the shared system before any timed client runs: clients race, so
@@ -575,6 +581,7 @@ ServeRun RunServeOnce(const std::vector<std::vector<std::string>>& scripts,
   }
   service.Drain();
   auto end = std::chrono::steady_clock::now();
+  if (bundle != nullptr) service.ExportStats(bundle->metrics());
 
   ServeRun run;
   run.elapsed_ms =
@@ -720,7 +727,7 @@ int BenchUsage() {
                "                    persistent verdict store, cold vs warm),\n"
                "                    trace (replay every registered workload\n"
                "                    family and gate check-report identity\n"
-               "                    across the shard/thread grid), or all\n"
+               "                    across engine thread counts), or all\n"
                "                    (default)\n"
                "  --kernel-slowdown-limit X\n"
                "                    fail (exit 1) if any kernel row's flat\n"
@@ -733,7 +740,6 @@ int BenchUsage() {
                                         dislock::kCacheFlag |
                                         dislock::kObsFlags |
                                         dislock::kClientsFlag |
-                                        dislock::kShardsFlag |
                                         dislock::kCacheDirFlag |
                                         dislock::kOutFlag)
                    .c_str());
@@ -751,8 +757,7 @@ int main(int argc, char** argv) {
   CommonFlags flags;
   flags.num_threads = 0;  // bench default: one worker per hardware thread
   constexpr unsigned kAccepted = kThreadsFlag | kCacheFlag | kObsFlags |
-                                 kClientsFlag | kShardsFlag | kCacheDirFlag |
-                                 kOutFlag;
+                                 kClientsFlag | kCacheDirFlag | kOutFlag;
   for (int i = 1; i < argc; ++i) {
     std::string error;
     switch (ParseCommonFlag(argc, argv, i, kAccepted, &flags, &error)) {
@@ -1045,10 +1050,6 @@ int main(int argc, char** argv) {
   bool serve_ok = true;
   if (bench_mode == "all" || bench_mode == "serve") {
     const int clients = flags.clients > 0 ? flags.clients : 100;
-    const int shards =
-        flags.shards > 1
-            ? flags.shards
-            : std::max(2, std::min(4, ThreadPool::HardwareThreads()));
     const int commands_per_client = quick ? 32 : 96;
 
     // The shared system the clients edit: the entity ring the scripts lock
@@ -1077,59 +1078,43 @@ int main(int argc, char** argv) {
     }
 
     // Determinism: the same scripts in a fixed global arrival order must
-    // produce byte-identical `check` reports at 1 shard and K shards, at
-    // 1 and 4 engine threads. (Full responses differ only in `add` ids —
-    // shard-lane allocation — which the protocol documents.)
+    // produce byte-identical `check` reports at 1 and 4 engine threads.
     auto scripts = MakeServeScripts(std::min(clients, 8),
                                     commands_per_client);
-    ServeRun base = RunServeOnce(scripts, workload_path, 1, 1, false);
-    bool identical = base.errors == 0;
-    for (int s : {1, shards}) {
-      for (int t : {1, 4}) {
-        if (s == 1 && t == 1) continue;
-        ServeRun run = RunServeOnce(scripts, workload_path, s, t, false);
-        if (run.check_bytes != base.check_bytes || run.errors != 0) {
-          identical = false;
-          std::fprintf(stderr,
-                       "serve determinism FAILED at shards=%d threads=%d "
-                       "(errors=%d)\n",
-                       s, t, run.errors);
-        }
-      }
+    ServeRun base = RunServeOnce(scripts, workload_path, 1, false);
+    ServeRun wide = RunServeOnce(scripts, workload_path, 4, false);
+    const bool identical = base.errors == 0 && wide.errors == 0 &&
+                           wide.check_bytes == base.check_bytes;
+    if (!identical) {
+      std::fprintf(stderr,
+                   "serve determinism FAILED at threads=4 (errors=%d/%d)\n",
+                   base.errors, wide.errors);
     }
 
-    // Throughput: every client submits from its own thread.
+    // Throughput: every client submits from its own thread. This is the
+    // run --trace/--metrics observe.
     auto load = MakeServeScripts(clients, commands_per_client);
-    ServeRun one = RunServeOnce(load, workload_path, 1, 1, true);
-    ServeRun sharded =
-        RunServeOnce(load, workload_path, shards, effective_threads, true);
-    auto rate = [](const ServeRun& r) {
-      return r.elapsed_ms > 0 ? 1000.0 * static_cast<double>(r.commands) /
-                                    r.elapsed_ms
-                              : 0.0;
-    };
-    serve_ok = identical && one.errors == 0 && sharded.errors == 0;
+    ServeRun run =
+        RunServeOnce(load, workload_path, effective_threads, true, &bundle);
+    const double rate =
+        run.elapsed_ms > 0
+            ? 1000.0 * static_cast<double>(run.commands) / run.elapsed_ms
+            : 0.0;
+    serve_ok = identical && run.errors == 0;
 
     std::ostringstream sj;
     sj << "{\"" << wire::kSchemaVersionKey << "\": " << wire::kSchemaVersion
        << ", \"bench\": \"serve_throughput\", \"clients\": " << clients
-       << ", \"shards\": " << shards
        << ", \"threads\": " << effective_threads
        << ", \"hardware_threads\": " << ThreadPool::HardwareThreads()
        << ci_note_json()
        << ", \"commands_per_client\": " << commands_per_client
-       << ", \"quick\": " << (quick ? "true" : "false") << ", \"runs\": ["
-       << "{\"name\": \"1shard\", \"shards\": 1, \"commands\": "
-       << one.commands << ", \"elapsed_ms\": " << one.elapsed_ms
-       << ", \"commands_per_sec\": " << rate(one)
-       << ", \"queue_peak\": " << one.queue_peak
-       << ", \"errors\": " << one.errors << "}, "
-       << "{\"name\": \"sharded\", \"shards\": " << shards
-       << ", \"commands\": " << sharded.commands
-       << ", \"elapsed_ms\": " << sharded.elapsed_ms
-       << ", \"commands_per_sec\": " << rate(sharded)
-       << ", \"queue_peak\": " << sharded.queue_peak
-       << ", \"errors\": " << sharded.errors << "}]"
+       << ", \"quick\": " << (quick ? "true" : "false")
+       << ", \"commands\": " << run.commands
+       << ", \"elapsed_ms\": " << run.elapsed_ms
+       << ", \"commands_per_sec\": " << rate
+       << ", \"queue_peak\": " << run.queue_peak
+       << ", \"errors\": " << run.errors
        << ", \"checks_identical\": " << (identical ? "true" : "false")
        << ", \"ok\": " << (serve_ok ? "true" : "false") << "}";
 
@@ -1144,12 +1129,11 @@ int main(int argc, char** argv) {
     std::ofstream serve_out(serve_path);
     serve_out << sj.str() << "\n";
     serve_out.close();
-    std::printf(
-        "serve      clients=%d 1shard=%.0f cmd/s sharded(%d)=%.0f cmd/s "
-        "queue-peak=%lld %s\n",
-        clients, rate(one), shards, rate(sharded),
-        static_cast<long long>(sharded.queue_peak),
-        identical ? "checks-identical" : "CHECKS DIFFER");
+    std::printf("serve      clients=%d threads=%d %.0f cmd/s queue-peak=%lld "
+                "%s\n",
+                clients, effective_threads, rate,
+                static_cast<long long>(run.queue_peak),
+                identical ? "checks-identical" : "CHECKS DIFFER");
     std::printf("wrote %s (%s)\n", serve_path.c_str(),
                 serve_ok ? "ok" : "FAILED");
   }
@@ -1248,8 +1232,8 @@ int main(int argc, char** argv) {
     // so CI publishes it (BENCH_trace.json). Every registered workload
     // family is generated at its defaults, timed through the direct
     // SessionCore replay, then verified: check reports from the serve
-    // sequencer at {1,4} shards x {1,4} threads must be byte-identical to
-    // the direct replay. A DIVERGED cell is a determinism bug, not a
+    // sequencer at 1 and 4 engine threads must be byte-identical to the
+    // direct replay. A DIVERGED cell is a determinism bug, not a
     // performance regression.
     std::ostringstream tj;
     tj << "{\"" << wire::kSchemaVersionKey << "\": " << wire::kSchemaVersion
@@ -1279,8 +1263,7 @@ int main(int argc, char** argv) {
       for (size_t i = 0; i < verify.cells.size(); ++i) {
         const gen::VerifyCell& cell = verify.cells[i];
         if (i > 0) tj << ", ";
-        tj << "{\"shards\": " << cell.shards
-           << ", \"threads\": " << cell.threads << ", \"identical\": "
+        tj << "{\"threads\": " << cell.threads << ", \"identical\": "
            << (cell.identical ? "true" : "false")
            << ", \"errors\": " << cell.errors << "}";
       }
@@ -1314,8 +1297,8 @@ int main(int argc, char** argv) {
 
   // Determinism is the contract; a differing report is a bug regardless of
   // the measured speedup. The kernel family additionally gates on the
-  // flat-vs-legacy slowdown limit; the serve family gates on sharded
-  // check-report identity and an error-free run; the cache family gates on
+  // flat-vs-legacy slowdown limit; the serve family gates on check-report
+  // identity across engine thread counts and an error-free run; the cache family gates on
   // warmth-invariant reports, verdicts actually served from disk, and the
   // warm pair-wall speedup (when the cold wall cleared the noise floor);
   // the trace family gates on grid-wide check-report byte identity.

@@ -21,12 +21,13 @@
 //                                   emit a deterministic .dlt workload trace
 //                                   for a registered family (src/gen/);
 //                                   `gen --list` prints the catalog
-//   dislock replay <trace.dlt> [--shards K] [--threads N] [--verify]
+//   dislock replay <trace.dlt> [--threads N] [--verify]
 //                                   drive a .dlt trace through the
 //                                   incremental engine; --verify gates
-//                                   byte-identical check reports across the
-//                                   shard/thread grid; --endpoint HOST:PORT
-//                                   replays against a live dislock_serve
+//                                   byte-identical check reports across
+//                                   engine thread counts; --endpoint
+//                                   HOST:PORT replays against a live
+//                                   dislock_serve
 //   dislock example                 print a sample system file
 //
 // `analyze` and `session` also take the shared observability flags
@@ -213,6 +214,10 @@ int Analyze(const AnalyzeArgs& args) {
   cache::VerdictStore store;
   OpenStoreIfRequested(args.common, &store);
   AnalysisOptions options;
+  // The `deadlock` pass searches with the CLI's budget, and the trailing
+  // `deadlock:` line reports that same search, so the two always agree.
+  // (The library default stays EngineConfig's smaller budget.)
+  options.max_deadlock_states = 1 << 20;
   options.num_threads = args.common.num_threads;
   options.enable_cache = args.common.cache;
   options.store = store.is_open() ? &store : nullptr;
@@ -234,9 +239,11 @@ int Analyze(const AnalyzeArgs& args) {
     ExportRepairStats(*result.repair, bundle.metrics());
   }
   const int rc = FailOnExitCode(result, args.fail_on);
-  auto run_deadlock = [&] {
+  // A separate search runs only when --passes left the deadlock pass out.
+  auto run_deadlock = [&]() -> Result<DeadlockReport> {
+    if (result.deadlock.has_value()) return *result.deadlock;
     obs::TraceSpan span(bundle.trace(), wire::kSpanDeadlock);
-    return AnalyzeDeadlockFreedom(system, 1 << 20);
+    return AnalyzeDeadlockFreedom(system, options.max_deadlock_states);
   };
 
   if (args.common.format == "sarif") {
@@ -536,7 +543,7 @@ int RunSessionCommand(int argc, char** argv) {
   CommonFlags common;
   const char* script = nullptr;
   constexpr unsigned kAccepted =
-      kThreadsFlag | kCacheFlag | kObsFlags | kShardsFlag | kCacheDirFlag;
+      kThreadsFlag | kCacheFlag | kObsFlags | kCacheDirFlag;
   for (int i = 2; i < argc; ++i) {
     std::string error;
     switch (ParseCommonFlag(argc, argv, i, kAccepted, &common, &error)) {
@@ -571,7 +578,6 @@ int RunSessionCommand(int argc, char** argv) {
   options.config.store = store.is_open() ? &store : nullptr;
   options.config.trace = bundle.trace();
   options.config.stats = bundle.metrics();
-  options.shards = common.shards;
   options.analyze = MakeSessionAnalyzer();
   int failed;
   if (script != nullptr) {
@@ -689,17 +695,16 @@ bool ParseEndpoint(const std::string& endpoint, std::string* host,
 // `dislock replay`: drive a committed .dlt trace through the incremental
 // engine. Default: one in-process SessionCore replay, responses to stdout
 // (or --out). --verify: the byte-identity gate — check reports from the
-// serve-style sequencer at {1,4} shards x {1,4} threads must match the
-// direct replay byte for byte. --endpoint HOST:PORT: feed the records to a
+// serve-style sequencer at 1 and 4 engine threads must match the direct
+// replay byte for byte. --endpoint HOST:PORT: feed the records to a
 // live dislock_serve over TCP instead. Exits 0 on a clean replay, 1 on
 // input errors / failed commands / a verify divergence, 2 on usage errors.
 int RunReplayCommand(int argc, char** argv) {
   CommonFlags common;
   const char* path = nullptr;
   bool verify = false;
-  constexpr unsigned kAccepted = kThreadsFlag | kShardsFlag | kCacheFlag |
-                                 kCacheDirFlag | kObsFlags | kEndpointFlag |
-                                 kOutFlag;
+  constexpr unsigned kAccepted = kThreadsFlag | kCacheFlag | kCacheDirFlag |
+                                 kObsFlags | kEndpointFlag | kOutFlag;
   for (int i = 2; i < argc; ++i) {
     std::string error;
     switch (ParseCommonFlag(argc, argv, i, kAccepted, &common, &error)) {
@@ -738,8 +743,8 @@ int RunReplayCommand(int argc, char** argv) {
   if (verify) {
     gen::VerifyResult result = gen::VerifyReplay(*trace);
     for (const gen::VerifyCell& cell : result.cells) {
-      std::fprintf(stderr, "shards=%d threads=%d: %s (%d failed commands)\n",
-                   cell.shards, cell.threads,
+      std::fprintf(stderr, "threads=%d: %s (%d failed commands)\n",
+                   cell.threads,
                    cell.identical ? "check reports identical" : "DIVERGED",
                    cell.errors);
     }
@@ -771,7 +776,6 @@ int RunReplayCommand(int argc, char** argv) {
   cache::VerdictStore store;
   OpenStoreIfRequested(common, &store);
   gen::ReplayOptions options;
-  options.shards = common.shards;
   options.threads = common.num_threads;
   options.config.enable_cache = common.cache;
   options.config.store = store.is_open() ? &store : nullptr;
@@ -791,12 +795,12 @@ int RunReplayCommand(int argc, char** argv) {
 int Usage() {
   std::string analyze_help = CommonFlagsHelp(
       kThreadsFlag | kCacheFlag | kFormatFlag | kObsFlags | kCacheDirFlag);
-  std::string session_help = CommonFlagsHelp(
-      kThreadsFlag | kCacheFlag | kObsFlags | kShardsFlag | kCacheDirFlag);
+  std::string session_help =
+      CommonFlagsHelp(kThreadsFlag | kCacheFlag | kObsFlags | kCacheDirFlag);
   std::string gen_help = CommonFlagsHelp(kSeedFlag | kOutFlag);
   std::string replay_help =
-      CommonFlagsHelp(kThreadsFlag | kShardsFlag | kCacheFlag |
-                      kCacheDirFlag | kObsFlags | kEndpointFlag | kOutFlag);
+      CommonFlagsHelp(kThreadsFlag | kCacheFlag | kCacheDirFlag | kObsFlags |
+                      kEndpointFlag | kOutFlag);
   std::fprintf(stderr,
                "usage: dislock analyze <system.dlk>\n"
                "                       [--passes a,b,c] [--no-deadlock]\n"
@@ -825,8 +829,9 @@ int Usage() {
                "       dislock replay <trace.dlt> [--verify]\n"
                "         (drive a .dlt trace through the incremental\n"
                "          engine and print the session responses; --verify\n"
-               "          replays the {1,4} shards x {1,4} threads grid and\n"
-               "          gates byte-identical check reports)\n"
+               "          replays through the serve sequencer at 1 and 4\n"
+               "          engine threads and gates byte-identical check\n"
+               "          reports)\n"
                "%s"
                "       dislock example\n",
                analyze_help.c_str(), session_help.c_str(), gen_help.c_str(),
